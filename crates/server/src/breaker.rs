@@ -22,6 +22,7 @@
 //! Every transition is visible: `store.breaker.trips`, `.probes`,
 //! `.recoveries`, `.failures` counters and the `store.breaker.open` gauge.
 
+use crate::lock;
 use ftrepair_telemetry::Telemetry;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -71,10 +72,7 @@ impl Breaker {
     /// May the store be used right now? `false` while Open or HalfOpen —
     /// normal traffic stays off the volume until the probe clears it.
     pub fn allow(&self) -> bool {
-        matches!(
-            *self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-            State::Closed { .. }
-        )
+        matches!(*lock(&self.state), State::Closed { .. })
     }
 
     /// Is the breaker anywhere but Closed? (`/healthz` reports the store
@@ -87,7 +85,7 @@ impl Breaker {
     /// consecutive-failure count. HalfOpen: the probe passed — close and
     /// count a recovery. Open: stale report from a racing thread; ignored.
     pub fn record_success(&self) {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = lock(&self.state);
         match *state {
             State::Closed { failures: 0 } => {}
             State::Closed { .. } => *state = State::Closed { failures: 0 },
@@ -104,7 +102,7 @@ impl Breaker {
     /// re-opens per state.
     pub fn record_failure(&self) {
         self.tele.add("store.breaker.failures", 1);
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = lock(&self.state);
         match *state {
             State::Closed { failures } => {
                 let failures = failures + 1;
@@ -130,7 +128,7 @@ impl Breaker {
     /// must report its outcome via [`Breaker::record_success`] /
     /// [`Breaker::record_failure`]. Any other state returns `false`.
     pub fn try_probe(&self) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = lock(&self.state);
         match *state {
             State::Open { until, attempt } if Instant::now() >= until => {
                 *state = State::HalfOpen { attempt };
@@ -143,7 +141,7 @@ impl Breaker {
 
     /// One word for `/healthz`.
     pub fn state_str(&self) -> &'static str {
-        match *self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner) {
+        match *lock(&self.state) {
             State::Closed { .. } => "closed",
             State::Open { .. } => "open",
             State::HalfOpen { .. } => "half-open",
@@ -160,7 +158,7 @@ impl Breaker {
         if nanos == 0 {
             return Duration::ZERO;
         }
-        let mut rng = self.rng.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut rng = lock(&self.rng);
         *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *rng;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -17,6 +17,7 @@
 //! from a stream of one-off specs.
 
 use crate::job::SimStatus;
+use crate::lock;
 use ftrepair_telemetry::{Counter, Json, Telemetry};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -71,7 +72,7 @@ impl ResultCache {
     /// Look up a content address, counting the hit or miss. A hit marks the
     /// key most-recently-used.
     pub fn get(&self, key: &str) -> Option<Arc<CacheEntry>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         match inner.map.get(key) {
             Some(entry) => {
                 let entry = Arc::clone(entry);
@@ -94,7 +95,7 @@ impl ResultCache {
     /// recency without growing the queue.
     pub fn insert(&self, entry: CacheEntry) -> Arc<CacheEntry> {
         let entry = Arc::new(entry);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.map.insert(entry.key.clone(), Arc::clone(&entry)).is_none() {
             inner.order.push_back(entry.key.clone());
             while inner.order.len() > self.capacity {
@@ -112,7 +113,7 @@ impl ResultCache {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        lock(&self.inner).map.len()
     }
 
     /// Is the cache empty?
@@ -153,7 +154,7 @@ impl PoisonList {
     /// Quarantine `key`. Returns `true` if it was newly added, `false` if
     /// it was already quarantined (lets callers count distinct keys).
     pub fn insert(&self, key: &str) -> bool {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if !inner.set.insert(key.to_string()) {
             return false;
         }
@@ -168,12 +169,12 @@ impl PoisonList {
 
     /// Is `key` currently quarantined?
     pub fn contains(&self, key: &str) -> bool {
-        self.inner.lock().unwrap().set.contains(key)
+        lock(&self.inner).set.contains(key)
     }
 
     /// Keys currently quarantined.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().set.len()
+        lock(&self.inner).set.len()
     }
 
     /// Is the list empty?
@@ -212,6 +213,18 @@ mod tests {
         let snap = tele.snapshot();
         assert_eq!(snap.counter("server.cache.hits"), 1);
         assert_eq!(snap.counter("server.cache.misses"), 1);
+    }
+
+    #[test]
+    fn poisoned_cache_still_serves() {
+        let tele = Telemetry::new();
+        let cache = ResultCache::new(8, &tele);
+        cache.insert(entry("before"));
+        crate::poison(&cache.inner);
+        assert!(cache.get("before").is_some());
+        cache.insert(entry("after"));
+        assert!(cache.get("after").is_some());
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

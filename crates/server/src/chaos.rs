@@ -13,6 +13,7 @@
 //! crate as a normal dependency). A default release build contains none of
 //! this code, and every knob defaults to "do nothing".
 
+use crate::lock;
 use ftrepair_core::Token;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -42,18 +43,18 @@ impl Chaos {
 
     /// Panic whenever a job with this exact content key starts executing.
     pub fn panic_on_key(&self, key: &str) {
-        self.panic_keys.lock().unwrap().insert(key.to_string());
+        lock(&self.panic_keys).insert(key.to_string());
     }
 
     /// Delay execution of jobs with this content key by `delay`.
     pub fn delay_key(&self, key: &str, delay: Duration) {
-        self.delay_keys.lock().unwrap().insert(key.to_string(), delay);
+        lock(&self.delay_keys).insert(key.to_string(), delay);
     }
 
     /// Delay execution of every job by `delay` (keyed delays take
     /// precedence). `None` clears it.
     pub fn delay_all(&self, delay: Option<Duration>) {
-        *self.delay_all.lock().unwrap() = delay;
+        *lock(&self.delay_all) = delay;
     }
 
     /// Panic at the start of a random `per_mille` in 1000 job executions.
@@ -78,13 +79,7 @@ impl Chaos {
 
     /// Hook run inside the job's panic boundary, just before `execute`.
     pub(crate) fn before_execute(&self, key: &str, token: &Token) {
-        let delay = self
-            .delay_keys
-            .lock()
-            .unwrap()
-            .get(key)
-            .copied()
-            .or_else(|| *self.delay_all.lock().unwrap());
+        let delay = lock(&self.delay_keys).get(key).copied().or_else(|| *lock(&self.delay_all));
         if let Some(d) = delay {
             // Sleep in short slices so an injected delay still honors the
             // job's deadline/cancel token — a 10s chaos delay must not pin
@@ -99,7 +94,7 @@ impl Chaos {
             // would turn a clean 503 into a quarantine.
             return;
         }
-        if self.panic_keys.lock().unwrap().contains(key) {
+        if lock(&self.panic_keys).contains(key) {
             panic!("chaos: injected panic for content key {key}");
         }
         if self.roll(self.panic_per_mille.load(Ordering::Relaxed)) {
@@ -120,7 +115,7 @@ impl Chaos {
         if per_mille == 0 {
             return false;
         }
-        let mut state = self.rng.lock().unwrap();
+        let mut state = lock(&self.rng);
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -133,8 +128,8 @@ impl Chaos {
 impl fmt::Debug for Chaos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Chaos")
-            .field("panic_keys", &self.panic_keys.lock().unwrap().len())
-            .field("delay_keys", &self.delay_keys.lock().unwrap().len())
+            .field("panic_keys", &lock(&self.panic_keys).len())
+            .field("delay_keys", &lock(&self.delay_keys).len())
             .field("panic_per_mille", &self.panic_per_mille.load(Ordering::Relaxed))
             .field("kill_worker_per_mille", &self.kill_worker_per_mille.load(Ordering::Relaxed))
             .field("queue_full", &self.queue_full.load(Ordering::Relaxed))

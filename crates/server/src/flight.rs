@@ -4,8 +4,9 @@
 //! this, N concurrent submissions of the same spec run N full fixpoint
 //! computations and the cache stores N-1 of them for nothing.
 
+use crate::lock;
 use std::collections::HashSet;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// The set of content keys currently being computed.
 pub struct InFlight {
@@ -29,16 +30,19 @@ impl InFlight {
     /// otherwise blocks until the current leader releases it and returns
     /// `None` — the caller should then re-check the cache and retry.
     pub fn begin<'a>(&'a self, key: &str) -> Option<FlightGuard<'a>> {
-        let mut keys = self.keys.lock().unwrap();
+        let mut keys = lock(&self.keys);
         if keys.insert(key.to_string()) {
             return Some(FlightGuard { inflight: self, key: key.to_string() });
         }
-        let _waited = self.done.wait_while(keys, |keys| keys.contains(key)).unwrap();
+        let _waited = self
+            .done
+            .wait_while(keys, |keys| keys.contains(key))
+            .unwrap_or_else(PoisonError::into_inner);
         None
     }
 
     fn release(&self, key: &str) {
-        self.keys.lock().unwrap().remove(key);
+        lock(&self.keys).remove(key);
         self.done.notify_all();
     }
 }

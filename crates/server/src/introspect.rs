@@ -16,6 +16,7 @@
 //! document sits behind a per-record mutex taken exactly twice (fill,
 //! render).
 
+use crate::lock;
 use ftrepair_telemetry::{trace::format_trace_id, Json};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -154,7 +155,7 @@ impl JobRecord {
     /// Attach the outcome document (iteration counts, phase timings, BDD
     /// peaks, verification flags) shown under `"detail"`.
     pub fn set_detail(&self, detail: Json) {
-        *self.detail.lock().unwrap() = detail;
+        *lock(&self.detail) = detail;
     }
 
     /// Render for the `/jobs` endpoints. `run_s` is the finished run time,
@@ -175,7 +176,7 @@ impl JobRecord {
         j.set("status", status.as_str().into());
         j.set("queue_wait_s", self.queue_wait.as_secs_f64().into());
         j.set("run_s", run_s.into());
-        let detail = self.detail.lock().unwrap();
+        let detail = lock(&self.detail);
         if !matches!(*detail, Json::Null) {
             j.set("detail", detail.clone());
         }
@@ -202,16 +203,14 @@ impl JobRing {
     /// Publish a record, overwriting the oldest one once the ring is full.
     pub fn push(&self, record: Arc<JobRecord>) {
         let seq = self.head.fetch_add(1, Ordering::AcqRel);
-        *self.slots[seq % self.slots.len()].lock().unwrap() = Some(record);
+        *lock(&self.slots[seq % self.slots.len()]) = Some(record);
     }
 
     /// The retained records, newest first.
     pub fn recent(&self) -> Vec<Arc<JobRecord>> {
         let head = self.head.load(Ordering::Acquire);
         let n = head.min(self.slots.len());
-        (1..=n)
-            .filter_map(|k| self.slots[(head - k) % self.slots.len()].lock().unwrap().clone())
-            .collect()
+        (1..=n).filter_map(|k| lock(&self.slots[(head - k) % self.slots.len()]).clone()).collect()
     }
 
     /// Look a retained record up by trace ID (newest match wins).

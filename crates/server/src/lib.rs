@@ -28,10 +28,18 @@
 //! `X-Trace-Id` response header and in `/repair` / `/simulate` bodies,
 //! and used as the `/jobs` key.
 //!
+//! Accept: the accept thread blocks in `poll(2)` on the listener and
+//! accepts as soon as a connection is pending, so a request waits in the
+//! kernel backlog only as long as the accept itself takes. The wait has a
+//! fixed 50 ms timeout; that is how shutdown wakes it (targets without
+//! `poll` sleep 5 ms between accept attempts instead).
+//!
 //! Backpressure: the job queue is bounded; when it is full new connections
-//! are answered `429` immediately. Shutdown: SIGTERM/ctrl-c stops the
-//! accept loop, queued jobs are drained, then the process exits (writing a
-//! summary JSONL line when `--metrics-out` is set).
+//! are answered `429` immediately. Shutdown: SIGTERM/ctrl-c (or
+//! [`ServerHandle::shutdown`]) sets a flag that the accept thread checks
+//! each time its wait ends, at the latest 50 ms later; the accept loop then
+//! stops, queued jobs are drained, and the process exits (writing a summary
+//! JSONL line when `--metrics-out` is set).
 //!
 //! Robustness: every repair job runs under a deadline
 //! ([`ServerConfig::job_timeout`], CLI `--job-timeout`, default 30s), a
@@ -56,6 +64,8 @@
 //! on purpose. The full failure-domain matrix lives in the repository's
 //! `DESIGN.md`.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub mod breaker;
 pub mod cache;
 #[cfg(any(test, feature = "chaos"))]
@@ -67,6 +77,28 @@ pub mod job;
 pub mod queue;
 pub mod server;
 pub mod signal;
+
+/// Lock `m`, taking the guard back even if a thread panicked while
+/// holding it. Every critical section in this crate leaves its data
+/// consistent at each step, and a job that panics must not wedge the
+/// daemon for the jobs after it, so poisoning carries no information here.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Poison `m` the way a crashing job would: panic on another thread while
+/// holding the lock.
+#[cfg(test)]
+pub(crate) fn poison<T: Send>(m: &Mutex<T>) {
+    std::thread::scope(|s| {
+        let crashed = s.spawn(|| {
+            let _held = m.lock();
+            panic!("job crashed while holding the lock");
+        });
+        assert!(crashed.join().is_err());
+    });
+    assert!(m.is_poisoned());
+}
 
 pub use cache::{content_key, CacheEntry, PoisonList, ResultCache};
 #[cfg(any(test, feature = "chaos"))]

@@ -8,8 +8,9 @@
 //! lets workers drain whatever is still queued — that is what makes
 //! graceful shutdown a one-liner.
 
+use crate::lock;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Why a push was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +45,7 @@ impl<T> JobQueue<T> {
 
     /// Enqueue without blocking; `Err` means the caller must shed the job.
     pub fn try_push(&self, item: T) -> Result<(), (T, PushError)> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         if s.closed {
             return Err((item, PushError::Closed));
         }
@@ -61,7 +62,7 @@ impl<T> JobQueue<T> {
     /// `None` is the worker's signal to exit; jobs queued before the close
     /// are still handed out (drain semantics).
     pub fn pop(&self) -> Option<T> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         loop {
             if let Some(item) = s.items.pop_front() {
                 return Some(item);
@@ -69,14 +70,14 @@ impl<T> JobQueue<T> {
             if s.closed {
                 return None;
             }
-            s = self.available.wait(s).unwrap();
+            s = self.available.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Close the queue: further pushes fail, blocked poppers wake up, and
     /// already-queued jobs remain poppable.
     pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
+        lock(&self.state).closed = true;
         self.available.notify_all();
     }
 
@@ -85,13 +86,13 @@ impl<T> JobQueue<T> {
     /// time are pulled out en masse and answered `503` instead of being
     /// silently dropped when the process exits.
     pub fn drain_remaining(&self) -> Vec<T> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         s.items.drain(..).collect()
     }
 
     /// Jobs currently waiting (diagnostic; racy by nature).
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().items.len()
+        lock(&self.state).items.len()
     }
 
     /// Is the queue empty right now?
@@ -138,6 +139,17 @@ mod tests {
         assert_eq!(q.pop(), None);
         // And pushes are refused.
         assert_eq!(q.try_push(8).unwrap_err().1, PushError::Closed);
+    }
+
+    #[test]
+    fn poisoned_queue_still_hands_out_jobs() {
+        let q = JobQueue::new(4);
+        q.try_push(1).unwrap();
+        crate::poison(&q.state);
+        q.try_push(2).unwrap();
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! * `workers` threads pop connections, read one HTTP request each, run the
 //!   repair pipeline (through the content-addressed [`ResultCache`]), write
 //!   the response, and close;
+//! * between connections the accept loop parks in `poll(2)` on the
+//!   listener, waking when one arrives or after a fixed 50 ms;
 //! * SIGTERM / ctrl-c (or [`ServerHandle::shutdown`]) flips a flag; the
-//!   accept loop stops, closes the queue, and the workers drain every job
-//!   already accepted before the scope joins them.
+//!   accept loop sees it when its wait ends, stops, closes the queue, and
+//!   the workers drain every job already accepted before the scope joins
+//!   them.
 
 use crate::breaker::Breaker;
 use crate::cache::{CacheEntry, PoisonList, ResultCache};
@@ -18,6 +21,7 @@ use crate::flight::InFlight;
 use crate::http::{self, Request};
 use crate::introspect::{JobRecord, JobRing, JobStatus, JOB_RING_CAP};
 use crate::job::{self, Mode, SimStatus};
+use crate::lock;
 use crate::queue::{JobQueue, PushError};
 use crate::signal;
 use ftrepair_core::{CheckpointPolicy, Checkpointer, RepairAborted, RepairOptions, Token};
@@ -333,29 +337,29 @@ impl Shared {
     }
 
     fn note_worker_fault(&self) {
-        *self.last_worker_fault.lock().unwrap() = Some(Instant::now());
+        *lock(&self.last_worker_fault) = Some(Instant::now());
     }
 
     fn note_saturation(&self) {
-        *self.last_saturation.lock().unwrap() = Some(Instant::now());
+        *lock(&self.last_saturation) = Some(Instant::now());
     }
 
     /// Did a worker die or the queue saturate within the degraded window?
     fn degraded(&self) -> bool {
         let recent = |slot: &Mutex<Option<Instant>>| {
-            slot.lock().unwrap().is_some_and(|at| at.elapsed() < self.degraded_window)
+            lock(slot).is_some_and(|at| at.elapsed() < self.degraded_window)
         };
         recent(&self.last_worker_fault) || recent(&self.last_saturation)
     }
 
     fn worker_started(&self) {
-        let mut alive = self.workers_alive.lock().unwrap();
+        let mut alive = lock(&self.workers_alive);
         *alive += 1;
         self.tele.set_gauge("server.workers.alive", *alive as u64);
     }
 
     fn worker_stopped(&self) {
-        let mut alive = self.workers_alive.lock().unwrap();
+        let mut alive = lock(&self.workers_alive);
         *alive = alive.saturating_sub(1);
         self.tele.set_gauge("server.workers.alive", *alive as u64);
     }
@@ -386,7 +390,7 @@ impl Shared {
     /// log nobody tails.
     fn append_report(&self, report: &RunReport) {
         if let Some(path) = &self.metrics_out {
-            let _guard = self.metrics_lock.lock().unwrap();
+            let _guard = lock(&self.metrics_lock);
             if let Err(e) = report.append_to(path) {
                 self.tele.add("telemetry.write_errors", 1);
                 eprintln!("ftrepair-server: cannot append metrics to {}: {e}", path.display());
@@ -486,6 +490,47 @@ fn bind_reusable(addr: &str) -> io::Result<TcpListener> {
         }
     }
     TcpListener::bind(addr)
+}
+
+/// Longest the idle accept thread waits before it rechecks the shutdown
+/// flag. A connection ends the wait at once; only noticing a shutdown on an
+/// idle daemon can take this long.
+#[cfg(unix)]
+const SHUTDOWN_CHECK: Duration = Duration::from_millis(50);
+
+/// Park the accept thread until the listener has a connection to accept,
+/// or [`SHUTDOWN_CHECK`] passes. Readiness comes from `poll(2)`, declared
+/// directly for the same reason as in [`bind_reusable`]. Its result is
+/// ignored: an error, timeout or `EINTR` (a shutdown signal landing on this
+/// thread) just sends the caller back round its loop, which checks the
+/// flag and retries the nonblocking `accept`.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    unsafe {
+        poll(&mut fd, 1, SHUTDOWN_CHECK.as_millis() as i32);
+    }
+}
+
+/// Targets without `poll(2)`: sleep briefly and let the caller retry.
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener) {
+    std::thread::sleep(Duration::from_millis(5));
 }
 
 impl Server {
@@ -679,7 +724,7 @@ impl Server {
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
+                        wait_for_connection(&listener)
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => {
@@ -1158,7 +1203,7 @@ fn handle_healthz(shared: &Shared) -> Reply {
     j.set("status", status.into());
     j.set("uptime_s", shared.started.elapsed().as_secs_f64().into());
     j.set("workers", shared.workers.into());
-    j.set("workers_alive", (*shared.workers_alive.lock().unwrap()).into());
+    j.set("workers_alive", (*lock(&shared.workers_alive)).into());
     let mut store = Json::obj();
     match &shared.store {
         Some(s) => {

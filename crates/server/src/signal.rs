@@ -3,8 +3,9 @@
 //! The workspace links no third-party crates, so the handler is installed
 //! through libc's `signal(2)` directly (libc itself is always linked on the
 //! platforms we target). The handler does the only async-signal-safe thing
-//! worth doing: it sets a flag the accept loop polls, which turns delivery
-//! of either signal into a graceful drain-and-exit.
+//! worth doing: it sets a flag the accept loop checks each time its wait
+//! for a connection ends (at least every 50 ms), which turns delivery of
+//! either signal into a graceful drain-and-exit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -94,7 +94,7 @@ impl Json {
 
     /// Parse a complete JSON document (rejects trailing garbage).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -206,6 +206,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -311,12 +312,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next quote
+                    // or backslash. Both are ASCII, so the run ends on a
+                    // char boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -410,6 +413,21 @@ mod tests {
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[1].as_f64(), Some(25.0));
         assert_eq!(arr[2].as_str(), Some("xA\n"));
+    }
+
+    #[test]
+    fn long_strings_roundtrip_in_linear_time() {
+        // A stored response body can hold megabytes of rendered program
+        // text, so string parsing must stay linear in the input.
+        let unit = "x := ä + 1; // κ→λ 🦀 \"q\" \\ tab\t nl\n ctl\u{1} ";
+        let text: String = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(text.len() >= 1 << 20);
+        let mut doc = Json::obj();
+        doc.set("program", text.as_str().into());
+        let started = std::time::Instant::now();
+        let back = Json::parse(&doc.to_string()).unwrap();
+        assert_eq!(back.get("program").and_then(Json::as_str), Some(text.as_str()));
+        assert!(started.elapsed().as_secs() < 5, "parse took {:?}", started.elapsed());
     }
 
     #[test]
