@@ -16,6 +16,9 @@
 //!   workhorse of image/preimage computation,
 //! * order-preserving variable renaming (used to map next-state variables back
 //!   to current-state variables),
+//! * write-set components of a transition relation (which variables change
+//!   in the same transition), found without creating nodes — what lets image
+//!   computation drop frame equalities (`changes.rs`),
 //! * sat-counting, deterministic minterm picking and cube iteration,
 //! * mark-and-sweep garbage collection with stable node ids,
 //! * dynamic variable reordering — in-place adjacent-level swaps with
@@ -43,6 +46,7 @@
 //! assert_eq!(m.sat_count(g), 5.0); // a∧b ∨ c has 5 satisfying assignments
 //! ```
 
+mod changes;
 mod dump;
 mod hash;
 mod manager;

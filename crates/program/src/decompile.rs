@@ -140,7 +140,8 @@ pub fn decompile_for(
         }
         out.push(GuardedCommand { guard, updates });
     }
-    out.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    // Sort by the `Debug` text, formatted once per command.
+    out.sort_by_cached_key(|c| format!("{c:?}"));
     out
 }
 
@@ -329,6 +330,27 @@ mod tests {
         let id = p.cx.unchanged_all(&vars);
         let cmds = decompile_process(&mut p, 0, id);
         assert!(cmds.is_empty(), "stutters must not decompile: {cmds:?}");
+    }
+
+    #[test]
+    fn commands_come_out_in_debug_string_order() {
+        let mut b = ProgramBuilder::new("order");
+        let x = b.var("x", 4);
+        let y = b.var("y", 3);
+        b.process("p", &[x, y], &[x, y]);
+        for v in (0..4).rev() {
+            let g = b.cx().assign_eq(x, v);
+            b.action(g, &[(x, Update::Const((v + 1) % 4)), (y, Update::Const(v % 3))]);
+        }
+        b.invariant(TRUE);
+        let mut p = b.build();
+        let t = p.processes[0].trans;
+        let cmds = decompile_process(&mut p, 0, t);
+        assert!(cmds.len() >= 4, "{cmds:?}");
+        let keys: Vec<String> = cmds.iter().map(|c| format!("{c:?}")).collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
     }
 
     #[test]

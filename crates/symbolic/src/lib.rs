@@ -16,8 +16,9 @@
 //!
 //! On top of the encoding it provides the operations every fixpoint in the
 //! repair algorithms is made of: `image`, `preimage`, forward/backward
-//! reachability (monolithic or partitioned over per-process relations), and
-//! state counting/enumeration used by tests and the experiment harness.
+//! reachability (forward reachability splits its relation into frame-free
+//! parts per set of variables changed together), and state
+//! counting/enumeration used by tests and the experiment harness.
 //!
 //! ```
 //! use ftrepair_symbolic::SymbolicContext;

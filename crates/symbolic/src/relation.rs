@@ -1,7 +1,15 @@
-//! Image, preimage and reachability fixpoints — monolithic and partitioned.
+//! Image, preimage and reachability fixpoints.
 
-use crate::context::SymbolicContext;
-use ftrepair_bdd::NodeId;
+use crate::context::{SymbolicContext, VarId};
+use ftrepair_bdd::{NodeId, VarMapId, VarSetId};
+
+/// One frame-free part of a transition relation, with the current bits its
+/// image quantifies and the map renaming its next bits back.
+struct Part {
+    rel: NodeId,
+    cur: VarSetId,
+    next_to_cur: VarMapId,
+}
 
 impl SymbolicContext {
     /// One-step image: the states reachable from `states` by one `trans`
@@ -22,39 +30,9 @@ impl SymbolicContext {
         self.mgr().and_exists(primed, trans, next)
     }
 
-    /// Image under a union of partitions, computed partition-wise (keeps
-    /// intermediate products small; the natural fit for per-process
-    /// transition relations).
-    pub fn image_partitioned(&mut self, states: NodeId, parts: &[NodeId]) -> NodeId {
-        let mut acc = ftrepair_bdd::FALSE;
-        for &t in parts {
-            let step = self.image(states, t);
-            acc = self.mgr().or(acc, step);
-        }
-        acc
-    }
-
-    /// Preimage under a union of partitions.
-    pub fn preimage_partitioned(&mut self, states: NodeId, parts: &[NodeId]) -> NodeId {
-        let mut acc = ftrepair_bdd::FALSE;
-        for &t in parts {
-            let step = self.preimage(states, t);
-            acc = self.mgr().or(acc, step);
-        }
-        acc
-    }
-
     /// Least fixpoint of forward reachability from `init` under `trans`.
     pub fn forward_reachable(&mut self, init: NodeId, trans: NodeId) -> NodeId {
-        let mut reach = init;
-        loop {
-            let step = self.image(reach, trans);
-            let next = self.mgr().or(reach, step);
-            if next == reach {
-                return reach;
-            }
-            reach = next;
-        }
+        self.chained_fixpoint(init, trans, None)
     }
 
     /// [`Self::forward_reachable`] with a reorder checkpoint per frontier
@@ -69,31 +47,77 @@ impl SymbolicContext {
         trans: NodeId,
         keep: &[NodeId],
     ) -> NodeId {
+        self.chained_fixpoint(init, trans, Some(keep))
+    }
+
+    /// The one forward fixpoint. `trans` is split once into its frame-free
+    /// parts ([`Self::frame_free_parts`]); each round applies them in turn,
+    /// every step widening `reach` before the next part reads it (chained
+    /// BFS), until a whole round adds nothing. Every part's steps are steps
+    /// of `trans`, and a round that adds nothing leaves `reach` closed
+    /// under every part, hence under `trans`: the result is the same least
+    /// fixpoint, and so the same BDD root, as iterating [`Self::image`].
+    /// With `keep`, each round starts at a reorder checkpoint rooting
+    /// `keep`, `trans`, the parts and `reach`; without, nothing is collected
+    /// and the caller's nodes need no rooting.
+    fn chained_fixpoint(&mut self, init: NodeId, trans: NodeId, keep: Option<&[NodeId]>) -> NodeId {
+        let parts = self.frame_free_parts(trans);
         let mut reach = init;
         loop {
-            let mut roots = keep.to_vec();
-            roots.extend([reach, trans]);
-            self.maybe_reorder(&roots);
-            let step = self.image(reach, trans);
-            let next = self.mgr().or(reach, step);
-            if next == reach {
+            if let Some(keep) = keep {
+                let mut roots = keep.to_vec();
+                roots.extend([reach, trans]);
+                roots.extend(parts.iter().map(|p| p.rel));
+                self.maybe_reorder(&roots);
+            }
+            let before = reach;
+            for p in &parts {
+                let next = self.mgr().and_exists(reach, p.rel, p.cur);
+                let step = self.mgr().rename(next, p.next_to_cur);
+                reach = self.mgr().or(reach, step);
+            }
+            if reach == before {
                 return reach;
             }
-            reach = next;
         }
     }
 
-    /// Forward reachability under partitioned relations.
-    pub fn forward_reachable_partitioned(&mut self, init: NodeId, parts: &[NodeId]) -> NodeId {
-        let mut reach = init;
-        loop {
-            let step = self.image_partitioned(reach, parts);
-            let next = self.mgr().or(reach, step);
-            if next == reach {
-                return reach;
-            }
-            reach = next;
-        }
+    /// Split `trans` into one frame-free part per component of the
+    /// variables it changes together ([`ftrepair_bdd::Manager::change_components`]).
+    /// The part of component `C` is `∃ next(V∖C). trans ∧ unchanged(V∖C)`:
+    /// the steps of `trans` that change nothing outside `C`, with the frame
+    /// equalities of `V∖C` gone. Every step of `trans` changes variables of
+    /// at most one component, so it is a step of that component's part, or
+    /// changes nothing and reaches a state already held. A part's image
+    /// quantifies only `cur(C)` and renames only `next(C) → cur(C)`, since
+    /// its source state carries `V∖C` across unchanged.
+    fn frame_free_parts(&mut self, trans: NodeId) -> Vec<Part> {
+        let vars = self.var_ids();
+        let groups: Vec<Vec<(u32, u32)>> = vars
+            .iter()
+            .map(|&v| {
+                (0..self.info(v).bits)
+                    .map(|k| (self.cur_level(v, k), self.next_level(v, k)))
+                    .collect()
+            })
+            .collect();
+        let components = self.mgr_ref().change_components(trans, &groups);
+        components
+            .into_iter()
+            .map(|component| {
+                let written: Vec<VarId> = component.into_iter().map(|i| vars[i]).collect();
+                let framed: Vec<VarId> =
+                    vars.iter().copied().filter(|v| !written.contains(v)).collect();
+                let frame = self.unchanged_all(&framed);
+                let next_framed = self.next_varset(&framed);
+                let rel = self.mgr().and_exists(trans, frame, next_framed);
+                let cur = self.cur_varset(&written);
+                let pairs: Vec<(u32, u32)> =
+                    self.cur_levels(&written).into_iter().map(|l| (l + 1, l)).collect();
+                let next_to_cur = self.mgr().varmap(&pairs);
+                Part { rel, cur, next_to_cur }
+            })
+            .collect()
     }
 
     /// Least fixpoint of backward reachability: all states that can reach
@@ -245,35 +269,50 @@ mod tests {
         assert!(cx.mgr().leq(s0, back));
     }
 
+    /// Reachability by iterating the monolithic [`SymbolicContext::image`].
+    fn monolithic_reach(cx: &mut SymbolicContext, init: NodeId, trans: NodeId) -> NodeId {
+        let mut reach = init;
+        loop {
+            let step = cx.image(reach, trans);
+            let next = cx.mgr().or(reach, step);
+            if next == reach {
+                return reach;
+            }
+            reach = next;
+        }
+    }
+
     #[test]
-    fn partitioned_image_equals_monolithic() {
-        // Two independent toggles as two partitions.
+    fn frame_free_fixpoint_equals_monolithic() {
+        // Two framed toggles and one joint write of (b, c).
         let mut cx = SymbolicContext::new();
         let a = cx.add_var("a", 2);
-        let b = cx.add_var("b", 2);
-        let mk_toggle = |cx: &mut SymbolicContext, v, other| {
-            let mut t = FALSE;
-            for val in 0..2u64 {
-                let g = cx.assign_eq(v, val);
-                let u = cx.assign_const(v, 1 - val);
-                let frame = cx.unchanged(other);
-                let step = cx.and3(g, u, frame);
-                t = cx.mgr().or(t, step);
-            }
-            t
-        };
-        let ta = mk_toggle(&mut cx, a, b);
-        let tb = mk_toggle(&mut cx, b, a);
-        let mono = cx.mgr().or(ta, tb);
-        let s = cx.state_cube(&[0, 0]);
-        let img_mono = cx.image(s, mono);
-        let img_part = cx.image_partitioned(s, &[ta, tb]);
-        assert_eq!(img_mono, img_part);
-        assert_eq!(cx.count_states(img_part), 2.0); // (1,0) and (0,1)
-        let r_mono = cx.forward_reachable(s, mono);
-        let r_part = cx.forward_reachable_partitioned(s, &[ta, tb]);
-        assert_eq!(r_mono, r_part);
-        assert_eq!(cx.count_states(r_part), 4.0);
+        let b = cx.add_var("b", 3);
+        let c = cx.add_var("c", 2);
+        let mut trans = FALSE;
+        for val in 0..2u64 {
+            let g = cx.assign_eq(a, val);
+            let u = cx.assign_const(a, 1 - val);
+            let frame = cx.unchanged_all(&[b, c]);
+            let step = cx.and3(g, u, frame);
+            trans = cx.mgr().or(trans, step);
+        }
+        for val in 0..2u64 {
+            let g = cx.assign_eq(b, val);
+            let ub = cx.assign_const(b, val + 1);
+            let uc = cx.assign_const(c, val);
+            let frame = cx.unchanged(a);
+            let step = cx.and3(g, ub, uc);
+            let step = cx.mgr().and(step, frame);
+            trans = cx.mgr().or(trans, step);
+        }
+        let parts = cx.frame_free_parts(trans);
+        assert_eq!(parts.len(), 2, "{{a}} and {{b, c}}");
+        let s = cx.state_cube(&[0, 0, 1]);
+        let r = cx.forward_reachable(s, trans);
+        assert_eq!(r, monolithic_reach(&mut cx, s, trans));
+        assert_eq!(cx.count_states(r), 6.0); // a ∈ {0,1} × (b,c) ∈ {(0,1),(1,0),(2,1)}
+        assert_eq!(cx.forward_reachable_keep(s, trans, &[]), r);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! same instances and failures reproduce exactly.
 
 use ftrepair_bdd::SplitMix64;
+use ftrepair_bdd::{NodeId, FALSE, TRUE};
 use ftrepair_symbolic::{SymbolicContext, VarId};
 use std::collections::HashSet;
 
@@ -131,25 +132,122 @@ fn count_transitions_matches_edge_count() {
     });
 }
 
-#[test]
-fn partitioned_reachability_equals_monolithic() {
-    for_cases(6, |bp, i| {
-        // Split the edges into two arbitrary partitions.
-        let (mut cx, _, _) = build(bp);
-        let mut t1 = ftrepair_bdd::FALSE;
-        let mut t2 = ftrepair_bdd::FALSE;
-        for (k, (from, to)) in bp.edges.iter().enumerate() {
-            let t = cx.transition_cube(from, to);
-            if k % 2 == 0 {
-                t1 = cx.mgr().or(t1, t);
-            } else {
-                t2 = cx.mgr().or(t2, t);
+/// Reachability by iterating the monolithic one-step image — the loop the
+/// frame-free fixpoint must match root for root.
+fn monolithic_reach(cx: &mut SymbolicContext, init: NodeId, trans: NodeId) -> NodeId {
+    let mut reach = init;
+    loop {
+        let step = cx.image(reach, trans);
+        let next = cx.mgr().or(reach, step);
+        if next == reach {
+            return reach;
+        }
+        reach = next;
+    }
+}
+
+/// A random guarded-command relation over up to 6 variables with domains
+/// 2..=5 (so non-power-of-two encodings occur). Each action writes one
+/// variable or several; it frames a random subset of the rest and leaves
+/// the others unconstrained (their levels are skipped, so they may change
+/// with the write). A few concrete multi-variable edges ride along. The
+/// initial set mixes concrete states with raw bit cubes that may encode
+/// values outside the domains, i.e. states outside the universe.
+fn gen_relation(rng: &mut SplitMix64) -> (SymbolicContext, NodeId, NodeId) {
+    let mut cx = SymbolicContext::new();
+    let nvars = 1 + rng.gen_index(6);
+    let vars: Vec<VarId> =
+        (0..nvars).map(|i| cx.add_var(format!("v{i}"), 2 + rng.gen_range(4))).collect();
+    let size = |cx: &SymbolicContext, v: VarId| cx.info(v).size;
+    let mut trans = FALSE;
+    for _ in 0..1 + rng.gen_index(6) {
+        let written: Vec<VarId> = if rng.random_bool(0.6) {
+            vec![vars[rng.gen_index(nvars)]]
+        } else {
+            vars.iter().copied().filter(|_| rng.coin()).collect()
+        };
+        let gv = vars[rng.gen_index(nvars)];
+        let mut step =
+            if rng.coin() { cx.assign_eq(gv, rng.gen_range(size(&cx, gv))) } else { TRUE };
+        for &w in &written {
+            let u = cx.assign_const(w, rng.gen_range(size(&cx, w)));
+            step = cx.mgr().and(step, u);
+        }
+        for &v in &vars {
+            if !written.contains(&v) && rng.random_bool(0.7) {
+                let frame = cx.unchanged(v);
+                step = cx.mgr().and(step, frame);
             }
         }
-        let mono = cx.mgr().or(t1, t2);
-        let init = cx.state_cube(&bp.init);
-        let a = cx.forward_reachable(init, mono);
-        let b = cx.forward_reachable_partitioned(init, &[t1, t2]);
-        assert_eq!(a, b, "case {i}: {bp:?}");
-    });
+        trans = cx.mgr().or(trans, step);
+    }
+    for _ in 0..rng.gen_index(4) {
+        let from: Vec<u64> = vars.iter().map(|&v| rng.gen_range(size(&cx, v))).collect();
+        let to: Vec<u64> = vars.iter().map(|&v| rng.gen_range(size(&cx, v))).collect();
+        let t = cx.transition_cube(&from, &to);
+        trans = cx.mgr().or(trans, t);
+    }
+    let mut init = FALSE;
+    for _ in 0..1 + rng.gen_index(3) {
+        let cube = if rng.coin() {
+            let state: Vec<u64> = vars.iter().map(|&v| rng.gen_range(size(&cx, v))).collect();
+            cx.state_cube(&state)
+        } else {
+            let lits: Vec<(u32, bool)> = vars
+                .iter()
+                .flat_map(|&v| (0..cx.info(v).bits).map(move |k| (v, k)))
+                .map(|(v, k)| (cx.cur_level(v, k), rng.coin()))
+                .collect();
+            cx.mgr().cube(&lits)
+        };
+        init = cx.mgr().or(init, cube);
+    }
+    (cx, init, trans)
+}
+
+/// Every transition changes variables of at most one component of
+/// `change_components`: `trans` is covered by its steps that leave
+/// everything outside one component unchanged.
+fn assert_split_is_exact(cx: &mut SymbolicContext, trans: NodeId, what: &str) {
+    let vars = cx.var_ids();
+    let groups: Vec<Vec<(u32, u32)>> = vars
+        .iter()
+        .map(|&v| (0..cx.info(v).bits).map(|k| (cx.cur_level(v, k), cx.next_level(v, k))).collect())
+        .collect();
+    let components = cx.mgr_ref().change_components(trans, &groups);
+    let mut covered = cx.unchanged_all(&vars);
+    for component in &components {
+        let framed: Vec<VarId> =
+            vars.iter().copied().filter(|v| !component.contains(&(v.0 as usize))).collect();
+        let frame = cx.unchanged_all(&framed);
+        covered = cx.mgr().or(covered, frame);
+    }
+    assert!(cx.mgr().leq(trans, covered), "{what}: components {components:?}");
+}
+
+#[test]
+fn frame_free_reachability_equals_monolithic_root_for_root() {
+    for i in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(0x6000 + i);
+        let (mut cx, init, trans) = gen_relation(&mut rng);
+        assert_split_is_exact(&mut cx, trans, &format!("case {i}: as built"));
+        let mono = monolithic_reach(&mut cx, init, trans);
+        assert_eq!(cx.forward_reachable(init, trans), mono, "case {i}: as built");
+
+        // Sifting moves the cur/next pairs; the split must read the new
+        // levels and land on the same root.
+        cx.configure_reorder(None);
+        cx.reorder_sift(&[init, trans, mono]);
+        cx.mgr_ref().check_integrity();
+        assert_split_is_exact(&mut cx, trans, &format!("case {i}: after sift"));
+        assert_eq!(cx.forward_reachable(init, trans), mono, "case {i}: after sift");
+        assert_eq!(monolithic_reach(&mut cx, init, trans), mono, "case {i}: mono after sift");
+
+        // With the automatic trigger armed low, sifts also fire between
+        // rounds of the checkpointed fixpoint.
+        cx.configure_reorder(Some(16));
+        let kept = cx.forward_reachable_keep(init, trans, &[init, trans, mono]);
+        assert_eq!(kept, mono, "case {i}: checkpointed");
+        cx.mgr_ref().check_integrity();
+    }
 }
